@@ -28,9 +28,10 @@
 // records amortized per-item latencies — the knob that measures how much
 // batching buys under the same concurrency. Each worker is its own
 // rate-limiter client (load-<n> via X-Fxrz-Client). The summary is
-// written as a benchguard-validated load baseline (-out), optionally with
-// per-request samples as CSV (-csv); -p99-caps and -shed-cap are recorded
-// into the baseline so the gate travels with the measurement.
+// written as a load baseline in the one BENCH_*.json shape benchguard
+// validates (-out), optionally with per-request samples as CSV (-csv);
+// -p99-caps, -shed-cap and -overhead-cap become gates in the baseline so the
+// gate travels with the measurement.
 package main
 
 import (
@@ -56,6 +57,7 @@ import (
 
 	fxrz "github.com/fxrz-go/fxrz"
 	"github.com/fxrz-go/fxrz/internal/batch"
+	"github.com/fxrz-go/fxrz/internal/benchfile"
 	"github.com/fxrz-go/fxrz/internal/datagen"
 	"github.com/fxrz-go/fxrz/internal/fieldio"
 	"github.com/fxrz-go/fxrz/internal/serve"
@@ -509,49 +511,6 @@ func percentileMS(sorted []int64, q float64) float64 {
 	return float64(sorted[idx]) / 1000
 }
 
-// The baseline shapes benchguard's load schema validates. runnerInfo mirrors
-// the runner block every BENCH_*.json carries.
-type runnerInfo struct {
-	CPU   string `json:"cpu"`
-	Cores int    `json:"cores"`
-	Note  string `json:"note,omitempty"`
-}
-
-type loadSummary struct {
-	Concurrency int     `json:"concurrency"`
-	DurationS   float64 `json:"duration_s"`
-	Mix         string  `json:"mix"`
-	RegionFrac  float64 `json:"region_frac"`
-	Requests    int     `json:"requests"`
-	OK          int     `json:"ok"`
-	Shed        int     `json:"shed"`
-	Errors      int     `json:"errors"`
-	ShedFrac    float64 `json:"shed_frac"`
-	ShedCap     float64 `json:"shed_cap,omitempty"`
-	RPS         float64 `json:"rps"`
-}
-
-type endpointEntry struct {
-	Name     string  `json:"name"`
-	Requests int     `json:"requests"`
-	OK       int     `json:"ok"`
-	Shed     int     `json:"shed"`
-	Errors   int     `json:"errors"`
-	P50MS    float64 `json:"p50_ms"`
-	P90MS    float64 `json:"p90_ms"`
-	P99MS    float64 `json:"p99_ms"`
-	MaxMS    float64 `json:"max_ms"`
-	P99CapMS float64 `json:"p99_cap_ms,omitempty"`
-}
-
-type report struct {
-	Benchmark string          `json:"benchmark"`
-	Date      string          `json:"date"`
-	Runner    runnerInfo      `json:"runner"`
-	Load      loadSummary     `json:"load"`
-	Endpoints []endpointEntry `json:"endpoints"`
-}
-
 // cpuModel names the host CPU for the runner block.
 func cpuModel() string {
 	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
@@ -653,11 +612,18 @@ type epAgg struct {
 	okUS                       []int64
 }
 
+// epStats is one endpoint's counts and OK-latency percentiles in ms.
+type epStats struct {
+	name string
+	epAgg
+	p50, p90, p99, max float64
+}
+
 // aggregate folds samples per endpoint; percentiles are over OK latencies
 // only (a shed 429 returns in microseconds and would flatter the tail).
 // allOK is every OK latency across endpoints, sorted, for run-wide
 // percentiles.
-func aggregate(caps map[string]float64, perWorker [][]sample) (entries []endpointEntry, total epAgg, allOK []int64) {
+func aggregate(perWorker [][]sample) (entries []epStats, total epAgg, allOK []int64) {
 	var agg [numEndpoints]epAgg
 	for _, samples := range perWorker {
 		for _, s := range samples {
@@ -684,21 +650,56 @@ func aggregate(caps map[string]float64, perWorker [][]sample) (entries []endpoin
 			continue
 		}
 		sort.Slice(a.okUS, func(i, j int) bool { return a.okUS[i] < a.okUS[j] })
-		entries = append(entries, endpointEntry{
-			Name:     epNames[ep],
-			Requests: a.requests,
-			OK:       a.ok,
-			Shed:     a.shed,
-			Errors:   a.errors,
-			P50MS:    percentileMS(a.okUS, 0.50),
-			P90MS:    percentileMS(a.okUS, 0.90),
-			P99MS:    percentileMS(a.okUS, 0.99),
-			MaxMS:    percentileMS(a.okUS, 1),
-			P99CapMS: caps[epNames[ep]],
+		entries = append(entries, epStats{
+			name:  epNames[ep],
+			epAgg: a,
+			p50:   percentileMS(a.okUS, 0.50),
+			p90:   percentileMS(a.okUS, 0.90),
+			p99:   percentileMS(a.okUS, 0.99),
+			max:   percentileMS(a.okUS, 1),
 		})
 	}
 	sort.Slice(allOK, func(i, j int) bool { return allOK[i] < allOK[j] })
 	return entries, total, allOK
+}
+
+// addCounts records one outcome tally under prefix; total names the
+// attempt count ("requests" or "items"). A clean run has no errors and at
+// least one success, or its percentiles are fiction.
+func addCounts(f *benchfile.File, prefix, total string, a epAgg, totalGates ...benchfile.Gate) {
+	f.Add(prefix+total, "count", float64(a.requests), totalGates...)
+	f.Add(prefix+"ok", "count", float64(a.ok), benchfile.AtLeast(1, ""))
+	f.Add(prefix+"shed", "count", float64(a.shed))
+	f.Add(prefix+"errors", "count", float64(a.errors), benchfile.AtMost(0, ""))
+}
+
+// capAt is the cap gate a flag asks for, or none when it is 0 (unset).
+func capAt(bound float64, vs string) []benchfile.Gate {
+	if bound > 0 {
+		return []benchfile.Gate{benchfile.AtMost(bound, vs)}
+	}
+	return nil
+}
+
+// writeBaseline stamps f with today's date, this machine and config, and
+// writes it to path.
+func writeBaseline(path string, f benchfile.File, note string, config map[string]any, stderr io.Writer) error {
+	cfg, err := json.Marshal(config)
+	if err != nil {
+		return err
+	}
+	f.Date = time.Now().Format("2006-01-02")
+	f.Runner = benchfile.Runner{CPU: cpuModel(), Cores: runtime.NumCPU(), Note: note}
+	f.Config = cfg
+	data, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "fxrzload: wrote %s\n", path)
+	return nil
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -755,7 +756,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// the selfserve ring when sharded, or several external bases.
 	shardKeys := o.batch > 1 && (o.shards > 1 || len(targets) > 1)
 	perWorker, elapsed := driveWindow(o, client, targets, fieldBytes, blob, target, region, shardKeys)
-	entries, total, _ := aggregate(o.caps, perWorker)
+	entries, total, _ := aggregate(perWorker)
 	shedFrac := 0.0
 	if total.requests > 0 {
 		shedFrac = float64(total.shed) / float64(total.requests)
@@ -766,11 +767,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		total.ok, total.shed, 100*shedFrac, total.errors)
 	for _, e := range entries {
 		capped := ""
-		if e.P99CapMS > 0 && e.P99MS > e.P99CapMS {
+		if c := o.caps[e.name]; c > 0 && e.p99 > c {
 			capped = "  ** OVER p99 cap **"
 		}
 		fmt.Fprintf(stdout, "  %-8s %6d req  %6d ok  %5d shed  %3d err  p50 %8.2fms  p90 %8.2fms  p99 %8.2fms  max %8.2fms%s\n",
-			e.Name, e.Requests, e.OK, e.Shed, e.Errors, e.P50MS, e.P90MS, e.P99MS, e.MaxMS, capped)
+			e.name, e.requests, e.ok, e.shed, e.errors, e.p50, e.p90, e.p99, e.max, capped)
 	}
 
 	if o.csvPath != "" {
@@ -791,33 +792,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if o.note != "" {
 			note += "; " + o.note
 		}
-		rep := report{
-			Benchmark: "fxrzd mixed-load harness (fxrzload)",
-			Date:      time.Now().Format("2006-01-02"),
-			Runner:    runnerInfo{CPU: cpuModel(), Cores: runtime.NumCPU(), Note: note},
-			Load: loadSummary{
-				Concurrency: o.concurrency,
-				DurationS:   math.Round(elapsed.Seconds()*100) / 100,
-				Mix:         o.mix.raw,
-				RegionFrac:  o.regionFrac,
-				Requests:    total.requests,
-				OK:          total.ok,
-				Shed:        total.shed,
-				Errors:      total.errors,
-				ShedFrac:    math.Round(shedFrac*1e4) / 1e4,
-				ShedCap:     o.shedCap,
-				RPS:         math.Round(float64(total.requests)/elapsed.Seconds()*10) / 10,
-			},
-			Endpoints: entries,
+		rep := benchfile.File{Suite: "load"}
+		rep.Add("duration_s", "s", math.Round(elapsed.Seconds()*100)/100)
+		addCounts(&rep, "", "requests", total, capAt(o.shedCap, "shed")...)
+		rep.Add("rps", "req/s", math.Round(float64(total.requests)/elapsed.Seconds()*10)/10)
+		for _, e := range entries {
+			addCounts(&rep, e.name+"/", "requests", e.epAgg)
+			rep.Add(e.name+"/p50_ms", "ms", e.p50)
+			rep.Add(e.name+"/p90_ms", "ms", e.p90)
+			rep.Add(e.name+"/p99_ms", "ms", e.p99, capAt(o.caps[e.name], "")...)
+			rep.Add(e.name+"/max_ms", "ms", e.max)
 		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+		config := map[string]any{"concurrency": o.concurrency, "mix": o.mix.raw, "region_frac": o.regionFrac}
+		if err := writeBaseline(o.outPath, rep, note, config, stderr); err != nil {
 			return err
 		}
-		if err := os.WriteFile(o.outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "fxrzload: wrote %s\n", o.outPath)
 	}
 	if total.errors > 0 {
 		return fmt.Errorf("%d request(s) failed (non-200/429) — the baseline is not clean", total.errors)
@@ -826,34 +815,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("no request succeeded — nothing to measure")
 	}
 	return nil
-}
-
-// The shard-comparison baseline shapes benchguard's shard schema validates.
-type shardRun struct {
-	Shards    int     `json:"shards"`
-	DurationS float64 `json:"duration_s"`
-	Items     int     `json:"items"`
-	OK        int     `json:"ok"`
-	Shed      int     `json:"shed"`
-	Errors    int     `json:"errors"`
-	ItemP50MS float64 `json:"item_p50_ms"`
-	ItemP99MS float64 `json:"item_p99_ms"`
-}
-
-type shardSummary struct {
-	Mix         string     `json:"mix"`
-	Batch       int        `json:"batch"`
-	Concurrency int        `json:"concurrency"`
-	Runs        []shardRun `json:"runs"`
-	OverheadP50 float64    `json:"overhead_p50"`
-	OverheadCap float64    `json:"overhead_cap,omitempty"`
-}
-
-type shardReport struct {
-	Benchmark string       `json:"benchmark"`
-	Date      string       `json:"date"`
-	Runner    runnerInfo   `json:"runner"`
-	Shard     shardSummary `json:"shard"`
 }
 
 // runShardCompare measures what scatter-gather fan-out costs: the same batch
@@ -883,8 +844,9 @@ func runShardCompare(o options, stdout, stderr io.Writer) error {
 	}
 	region := regionQuery(f.Dims)
 
-	var runs []shardRun
-	for _, n := range []int{1, o.shards} {
+	rep := benchfile.File{Suite: "shard"}
+	var p50s []float64
+	for i, n := range []int{1, o.shards} {
 		bases, shutdown, err := startCluster(o, dir, n)
 		if err != nil {
 			return err
@@ -900,60 +862,39 @@ func runShardCompare(o options, stdout, stderr io.Writer) error {
 			n, o.duration, o.concurrency, o.batch, o.mix.raw)
 		perWorker, elapsed := driveWindow(o, client, bases, fieldBytes, blob, target, region, n > 1)
 		shutdown()
-		_, total, allOK := aggregate(o.caps, perWorker)
+		_, total, allOK := aggregate(perWorker)
 		if total.errors > 0 {
 			return fmt.Errorf("%d item(s) failed on the %d-shard run — the baseline is not clean", total.errors, n)
 		}
 		if total.ok == 0 {
 			return fmt.Errorf("no item succeeded on the %d-shard run — nothing to measure", n)
 		}
-		runs = append(runs, shardRun{
-			Shards:    n,
-			DurationS: math.Round(elapsed.Seconds()*100) / 100,
-			Items:     total.requests,
-			OK:        total.ok,
-			Shed:      total.shed,
-			Errors:    total.errors,
-			ItemP50MS: percentileMS(allOK, 0.50),
-			ItemP99MS: percentileMS(allOK, 0.99),
-		})
+		p50, p99 := percentileMS(allOK, 0.50), percentileMS(allOK, 0.99)
+		fmt.Fprintf(stdout, "  %d shard(s): %6d items  %6d ok  %5d shed  item p50 %8.3fms  p99 %8.3fms\n",
+			n, total.requests, total.ok, total.shed, p50, p99)
+		prefix := []string{"single/", "sharded/"}[i]
+		rep.Add(prefix+"duration_s", "s", math.Round(elapsed.Seconds()*100)/100)
+		addCounts(&rep, prefix, "items", total)
+		var overheadGate []benchfile.Gate
+		if i == 0 {
+			overheadGate = capAt(o.overheadCap, "sharded/item_p50_ms")
+		}
+		rep.Add(prefix+"item_p50_ms", "ms", p50, overheadGate...)
+		rep.Add(prefix+"item_p99_ms", "ms", p99)
+		p50s = append(p50s, p50)
 	}
 
-	overhead := 0.0
-	if runs[0].ItemP50MS > 0 {
-		overhead = math.Round(runs[1].ItemP50MS/runs[0].ItemP50MS*100) / 100
-	}
-	for _, r := range runs {
-		fmt.Fprintf(stdout, "  %d shard(s): %6d items  %6d ok  %5d shed  item p50 %8.3fms  p99 %8.3fms\n",
-			r.Shards, r.Items, r.OK, r.Shed, r.ItemP50MS, r.ItemP99MS)
-	}
+	overhead := p50s[1] / p50s[0]
 	fmt.Fprintf(stdout, "  scatter-gather per-item p50 overhead: %.2fx\n", overhead)
 
 	note := fmt.Sprintf("amortized per-item latencies over /v1/*-many (batch %d, mix %s, concurrency %d); the sharded run pays one loopback forward per remote sub-batch, so the overhead ratio is routing cost, not network distance; shared hardware, treat absolute latencies as indicative", o.batch, o.mix.raw, o.concurrency)
 	if o.note != "" {
 		note += "; " + o.note
 	}
-	rep := shardReport{
-		Benchmark: "fxrzd sharded serving tier (fxrzload -shard-out)",
-		Date:      time.Now().Format("2006-01-02"),
-		Runner:    runnerInfo{CPU: cpuModel(), Cores: runtime.NumCPU(), Note: note},
-		Shard: shardSummary{
-			Mix:         o.mix.raw,
-			Batch:       o.batch,
-			Concurrency: o.concurrency,
-			Runs:        runs,
-			OverheadP50: overhead,
-			OverheadCap: o.overheadCap,
-		},
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	config := map[string]any{"mix": o.mix.raw, "batch": o.batch, "concurrency": o.concurrency, "shards": o.shards}
+	if err := writeBaseline(o.shardOut, rep, note, config, stderr); err != nil {
 		return err
 	}
-	if err := os.WriteFile(o.shardOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "fxrzload: wrote %s\n", o.shardOut)
 	if o.overheadCap > 0 && overhead > o.overheadCap {
 		return fmt.Errorf("scatter-gather p50 overhead %.2fx exceeds the %.2fx cap", overhead, o.overheadCap)
 	}

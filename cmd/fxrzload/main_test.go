@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/fxrz-go/fxrz/internal/benchfile"
 )
 
 func TestParseFlagsDefaults(t *testing.T) {
@@ -203,41 +205,23 @@ func TestEndToEndSelfServe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+	rep, v := readBaseline(t, out)
+	if rep.Suite != "load" || rep.Runner.CPU == "" {
+		t.Errorf("header incomplete: suite %q, runner %+v", rep.Suite, rep.Runner)
 	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Load.Requests == 0 || rep.Load.OK == 0 {
-		t.Fatalf("no traffic recorded: %+v", rep.Load)
-	}
-	if rep.Load.Errors != 0 {
-		t.Fatalf("errors in a clean run: %+v", rep.Load)
-	}
-	if rep.Load.Requests != rep.Load.OK+rep.Load.Shed+rep.Load.Errors {
-		t.Errorf("load counts inconsistent: %+v", rep.Load)
-	}
-	if rep.Runner.Cores <= 0 || rep.Runner.CPU == "" || rep.Runner.Note == "" {
-		t.Errorf("runner block incomplete: %+v", rep.Runner)
-	}
-	if rep.Date == "" || rep.Benchmark == "" {
-		t.Errorf("missing benchmark/date: %q %q", rep.Benchmark, rep.Date)
-	}
-	sum := 0
-	for _, e := range rep.Endpoints {
-		if e.Requests != e.OK+e.Shed+e.Errors {
-			t.Errorf("endpoint %s counts inconsistent: %+v", e.Name, e)
+	requests := v[benchfile.Key{Name: "requests", Unit: "count"}]
+	checkCounts(t, v, "", "requests")
+	sum := 0.0
+	for _, ep := range epNames {
+		checkCounts(t, v, ep+"/", "requests")
+		ms := func(p string) float64 { return v[benchfile.Key{Name: ep + "/" + p, Unit: "ms"}] }
+		if !(ms("p50_ms") > 0 && ms("p50_ms") <= ms("p90_ms") && ms("p90_ms") <= ms("p99_ms") && ms("p99_ms") <= ms("max_ms")) {
+			t.Errorf("endpoint %s percentiles not monotone: %v/%v/%v/%v", ep, ms("p50_ms"), ms("p90_ms"), ms("p99_ms"), ms("max_ms"))
 		}
-		if e.OK > 0 && !(e.P50MS > 0 && e.P50MS <= e.P90MS && e.P90MS <= e.P99MS && e.P99MS <= e.MaxMS) {
-			t.Errorf("endpoint %s percentiles not monotone: %+v", e.Name, e)
-		}
-		sum += e.Requests
+		sum += v[benchfile.Key{Name: ep + "/requests", Unit: "count"}]
 	}
-	if sum != rep.Load.Requests {
-		t.Errorf("endpoint requests sum %d != load total %d", sum, rep.Load.Requests)
+	if sum != requests {
+		t.Errorf("endpoint requests sum %v != load total %v", sum, requests)
 	}
 
 	f, err := os.Open(csvPath)
@@ -249,8 +233,8 @@ func TestEndToEndSelfServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != rep.Load.Requests+1 {
-		t.Errorf("csv rows = %d, want %d samples + header", len(rows), rep.Load.Requests)
+	if len(rows) != int(requests)+1 {
+		t.Errorf("csv rows = %d, want %v samples + header", len(rows), requests)
 	}
 	if strings.Join(rows[0], ",") != "endpoint,status,latency_us" {
 		t.Errorf("csv header = %v", rows[0])
@@ -274,19 +258,9 @@ func TestEndToEndSelfServeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Load.Requests == 0 || rep.Load.OK == 0 || rep.Load.Errors != 0 {
-		t.Fatalf("batch run not clean: %+v", rep.Load)
-	}
-	if rep.Load.Requests%batchN != 0 {
-		t.Errorf("per-item samples = %d, not a multiple of batch %d", rep.Load.Requests, batchN)
+	rep, v := readBaseline(t, out)
+	if requests := int(v[benchfile.Key{Name: "requests", Unit: "count"}]); requests%batchN != 0 {
+		t.Errorf("per-item samples = %d, not a multiple of batch %d", requests, batchN)
 	}
 	if !strings.Contains(rep.Runner.Note, "batch=4") || !strings.Contains(rep.Runner.Note, "MaxIdleConnsPerHost") {
 		t.Errorf("runner note does not record the batch mode and transport: %q", rep.Runner.Note)
@@ -310,33 +284,44 @@ func TestEndToEndShardCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(out)
+	rep, v := readBaseline(t, out)
+	var cfg struct{ Shards, Batch int }
+	if err := json.Unmarshal(rep.Config, &cfg); err != nil || rep.Suite != "shard" || cfg.Shards != 2 || cfg.Batch != 4 {
+		t.Errorf("header incomplete: suite %q, config %s (%v)", rep.Suite, rep.Config, err)
+	}
+	for _, run := range []string{"single/", "sharded/"} {
+		checkCounts(t, v, run, "items")
+		p50, p99 := v[benchfile.Key{Name: run + "item_p50_ms", Unit: "ms"}], v[benchfile.Key{Name: run + "item_p99_ms", Unit: "ms"}]
+		if !(p50 > 0 && p50 <= p99) {
+			t.Errorf("%s percentiles not monotone: %v/%v", run, p50, p99)
+		}
+	}
+}
+
+// readBaseline validates a freshly written baseline exactly as benchguard
+// does and returns it with its values.
+func readBaseline(t *testing.T, path string) (*benchfile.File, map[benchfile.Key]float64) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep shardReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
+	rep, err := benchfile.Validate(data)
+	if err != nil {
+		t.Fatalf("fresh baseline rejected: %v\n%s", err, data)
 	}
-	if len(rep.Shard.Runs) != 2 || rep.Shard.Runs[0].Shards != 1 || rep.Shard.Runs[1].Shards != 2 {
-		t.Fatalf("runs = %+v, want shards 1 then 2", rep.Shard.Runs)
+	if rep.Runner.Cores <= 0 || rep.Runner.Note == "" || rep.Date == "" {
+		t.Errorf("runner block incomplete: %+v", rep.Runner)
 	}
-	for _, r := range rep.Shard.Runs {
-		if r.Items == 0 || r.OK == 0 || r.Errors != 0 {
-			t.Errorf("%d-shard run not clean: %+v", r.Shards, r)
-		}
-		if r.Items != r.OK+r.Shed+r.Errors {
-			t.Errorf("%d-shard counts inconsistent: %+v", r.Shards, r)
-		}
-		if !(r.ItemP50MS > 0 && r.ItemP50MS <= r.ItemP99MS) {
-			t.Errorf("%d-shard percentiles not monotone: %+v", r.Shards, r)
-		}
-	}
-	want := rep.Shard.Runs[1].ItemP50MS / rep.Shard.Runs[0].ItemP50MS
-	if got := rep.Shard.OverheadP50; got < want-0.011 || got > want+0.011 {
-		t.Errorf("overhead = %g, want ~%g (p50 ratio of the two runs)", got, want)
-	}
-	if rep.Runner.Cores <= 0 || rep.Runner.Note == "" || rep.Benchmark == "" || rep.Date == "" {
-		t.Errorf("report header incomplete: %+v", rep)
+	return rep, rep.Values()
+}
+
+// checkCounts asserts one outcome tally adds up and saw traffic.
+func checkCounts(t *testing.T, v map[benchfile.Key]float64, prefix, total string) {
+	t.Helper()
+	c := func(name string) float64 { return v[benchfile.Key{Name: prefix + name, Unit: "count"}] }
+	if c(total) == 0 || c(total) != c("ok")+c("shed")+c("errors") {
+		t.Errorf("%s counts inconsistent or empty: %s %v != ok %v + shed %v + errors %v",
+			prefix, total, c(total), c("ok"), c("shed"), c("errors"))
 	}
 }

@@ -9,7 +9,8 @@
 //   - testdata/fuzz/ seed corpora for the decoder fuzz targets that lack
 //     them (internal/zfp, internal/fpzip, internal/mgard, and the top-level
 //     FuzzDecompress), so `go test -fuzz` starts from valid streams instead
-//     of rediscovering the header format from zero.
+//     of rediscovering the header format from zero, plus a small saved sz
+//     model for internal/core's FuzzLoadFramework.
 //
 // Run from the repository root after an *intentional* format change:
 //
@@ -17,7 +18,8 @@
 //
 // and commit the diff alongside the change that caused it. Everything the
 // generator consumes is deterministic (datagen fields, serial codecs), so
-// an unchanged tree regenerates byte-identical fixtures.
+// an unchanged tree regenerates byte-identical fixtures — except the model
+// seed, whose saved training stats carry wall-clock durations.
 package main
 
 import (
@@ -66,6 +68,7 @@ var fuzzSeedDirs = []struct {
 	{"internal/mgard/testdata/fuzz/FuzzDecompress", []string{"mgard"}},
 	{"testdata/fuzz/FuzzDecompress", []string{
 		"sz", "sz2", "zfp", "zfp-rate", "fpzip", "mgard", "sz-indexed", "zfp-indexed"}},
+	{"internal/core/testdata/fuzz/FuzzLoadFramework", []string{"model"}},
 }
 
 func run(args []string) error {
@@ -158,6 +161,20 @@ func run(args []string) error {
 	if err := writeFile(filepath.Join(goldenDir, "sz-bricks.recon"), rbuf.Bytes()); err != nil {
 		return err
 	}
+
+	// A real saved model seeds the model-file fuzzer: a few trees trained
+	// serially on the golden field, small enough to commit.
+	cfg := fxrz.DefaultConfig()
+	cfg.StationaryPoints, cfg.AugmentPerField, cfg.Trees, cfg.Parallelism = 4, 8, 3, 1
+	fw, err := fxrz.Train(fxrz.NewSZ(), []*fxrz.Field{f}, cfg)
+	if err != nil {
+		return err
+	}
+	var mbuf bytes.Buffer
+	if err := fw.Save(&mbuf); err != nil {
+		return err
+	}
+	blobs["model"] = mbuf.Bytes()
 
 	// Fuzz seed corpora: each seed is one valid stream in the on-disk
 	// corpus-entry encoding, named for the codec so diffs stay readable.

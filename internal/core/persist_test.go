@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
+	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/grid"
+	"github.com/fxrz-go/fxrz/internal/ml"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -75,4 +78,56 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := LoadFramework(strings.NewReader("FXRZMODEL1 but then junk")); err == nil {
 		t.Error("corrupt body accepted")
 	}
+}
+
+// TestLoadRejectsCyclicModel: Predict walks a tree's child indices until it
+// reaches a leaf, so a model file whose tree loops or points out of range
+// must fail to load rather than hang or panic the first estimate.
+func TestLoadRejectsCyclicModel(t *testing.T) {
+	// Mirrors of the forest's gob shape; gob matches fields by name.
+	type node struct {
+		Feature          int
+		Threshold, Value float64
+		Left, Right      int
+	}
+	type tree struct {
+		Dim   int
+		Nodes []node
+	}
+	type forest struct {
+		Cfg   ml.ForestConfig
+		Trees []tree
+	}
+	for name, nodes := range map[string][]node{
+		"self loop":    {{Feature: 0, Left: 0, Right: 0}},
+		"out of range": {{Feature: 0, Left: 1, Right: 9}, {Feature: -1}},
+	} {
+		var fb bytes.Buffer
+		if err := gob.NewEncoder(&fb).Encode(forest{Trees: []tree{{Dim: 6, Nodes: nodes}}}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.WriteString(persistMagic)
+		dto := frameworkDTO{Cfg: DefaultConfig(), AxisKind: int(compress.AbsErrorBound), AxisMin: 1e-6, AxisMax: 1, Compressor: "sz", Forest: fb.Bytes(), RatioLo: 2, RatioHi: 50}
+		if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFramework(&buf); err == nil {
+			t.Errorf("%s: malformed tree loaded", name)
+		}
+	}
+}
+
+// FuzzLoadFramework: any byte string either fails to load or yields a
+// framework whose estimates return. Seeds include a real saved sz model
+// (regenerate with `go run ./cmd/genfixtures`).
+func FuzzLoadFramework(f *testing.F) {
+	f.Add([]byte(persistMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fw, err := LoadFramework(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_, _ = fw.EstimateFromFeatures(Features{ValueRange: 1, MeanValue: 0.5, MND: 0.1, MLD: 0.1, MSD: 0.1}, 10, 1)
+	})
 }

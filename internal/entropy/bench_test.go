@@ -84,9 +84,9 @@ func BenchmarkKernelHuffmanDecode(b *testing.B) {
 // BenchmarkChunkedDecode measures what the chunked container buys on decode:
 // a 2M-symbol quantization-code-like stream decoded through the whole-stream
 // serial path versus HuffmanDecodeChunked at worker widths 1, 2 and 4.
-// Recorded in BENCH_entropy.json (`make bench-entropy`): the serial/w4 pair
-// carries a 2x floor on >= 4-core machines, and the w1 pair bounds the
-// container's bookkeeping overhead on any machine. The blob-overhead-frac
+// Recorded in BENCH_entropy.json (`make bench-entropy`) in ns/elem: the
+// serial/w4 pair carries a 2x floor on >= 4-core machines, and the w1 pair
+// bounds the container's bookkeeping overhead on any machine. The blob-overhead-frac
 // metric is the chunk table's size cost over the legacy container (budget:
 // <= 1%, pinned absolutely by TestChunkedOverhead).
 func BenchmarkChunkedDecode(b *testing.B) {
@@ -119,6 +119,7 @@ func BenchmarkChunkedDecode(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(syms)), "ns/elem")
 	})
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("huffman/w%d", w), func(b *testing.B) {
@@ -129,6 +130,7 @@ func BenchmarkChunkedDecode(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(syms)), "ns/elem")
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // Serialisation uses exported mirror types so gob can reach tree internals
@@ -34,12 +35,26 @@ func (t *Tree) toDTO() treeDTO {
 	return d
 }
 
-func treeFromDTO(d treeDTO) *Tree {
+// treeFromDTO rebuilds a tree from a model file, which is untrusted input:
+// Predict follows child indices until it reaches a leaf, so every split must
+// point strictly forward and in range (which also makes the tree acyclic),
+// test a feature below dim, and compare against a finite threshold.
+func treeFromDTO(d treeDTO) (*Tree, error) {
 	t := &Tree{dim: d.Dim, nodes: make([]treeNode, len(d.Nodes))}
 	for i, n := range d.Nodes {
+		if n.Feature >= 0 {
+			switch {
+			case n.Feature >= d.Dim:
+				return nil, fmt.Errorf("ml: node %d splits on feature %d of %d", i, n.Feature, d.Dim)
+			case math.IsNaN(n.Threshold) || math.IsInf(n.Threshold, 0):
+				return nil, fmt.Errorf("ml: node %d has non-finite threshold %v", i, n.Threshold)
+			case n.Left <= i || n.Left >= len(d.Nodes) || n.Right <= i || n.Right >= len(d.Nodes):
+				return nil, fmt.Errorf("ml: node %d of %d has children %d/%d (want forward, in range)", i, len(d.Nodes), n.Left, n.Right)
+			}
+		}
 		t.nodes[i] = treeNode{feature: n.Feature, threshold: n.Threshold, value: n.Value, left: n.Left, right: n.Right}
 	}
-	return t
+	return t, nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler for a trained forest.
@@ -67,7 +82,11 @@ func (f *Forest) UnmarshalBinary(data []byte) error {
 	f.cfg = dto.Cfg
 	f.trees = make([]*Tree, len(dto.Trees))
 	for i, td := range dto.Trees {
-		f.trees[i] = treeFromDTO(td)
+		t, err := treeFromDTO(td)
+		if err != nil {
+			return fmt.Errorf("tree %d: %w", i, err)
+		}
+		f.trees[i] = t
 	}
 	return nil
 }

@@ -12,8 +12,9 @@ import (
 // centered 32³ subvolume (1/8 of the volume) out of an indexed 64³ stream
 // versus decoding the whole field through the same entry point. The full/
 // eighth pair is measured within one run, so the ratio gates on any machine;
-// BENCH_roi.json records it and `make bench-roi` fails if the eighth-volume
-// speedup regresses. Both pairs carry benchguard floors: zfp seeks its own
+// BENCH_roi.json records both legs' ns/op and the idx-frac metric, and
+// `make bench-roi` fails if full/eighth drops below its floor or the index
+// outgrows 1% of the blob. Both pairs carry floors: zfp seeks its own
 // 4³ blocks, and sz's chunked entropy container now seeks too — a region
 // decode entropy-decodes only the chunks covering its slabs and skips the
 // Lorenzo arithmetic outside the region's prefix box.
