@@ -146,6 +146,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzBatchContainer$$' -fuzztime $(FUZZTIME) ./internal/batch/
 	go test -run '^$$' -fuzz '^FuzzDecompress$$' -fuzztime $(FUZZTIME) .
 	go test -run '^$$' -fuzz '^FuzzLoadFramework$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/core/
+	go test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/fieldio/
 
 # Validate every recorded baseline file: one schema, its pinned merge-time
 # gates still present, and every gate holding on the recorded values.

@@ -1,7 +1,7 @@
 // Intra-field parallel codec benchmarks: serial versus parallel pack and
-// unpack for the two codecs with intra-field fan-out (sz: wavefront Lorenzo +
-// sharded Huffman; zfp: chunked block coder). The recorded baseline lives in
-// BENCH_compress.json under these benchmarks' names and ns/elem metric, and
+// unpack for the two codecs with intra-field fan-out (sz: slab-parallel
+// Lorenzo + chunked entropy; zfp: chunked block coder). The recorded
+// baseline lives in BENCH_compress.json under these benchmarks' names and ns/elem metric, and
 // cmd/benchguard gates it: width 4 within 1.5x of width 1 anywhere, and the
 // 1.5x pack floor only on >= 4-core machines (min_cores 4).
 package fxrz_test

@@ -59,11 +59,16 @@ func Write(w io.Writer, f *grid.Field) error {
 	return bw.Flush()
 }
 
+// readChunkSamples is how many samples Read converts per read from the
+// underlying reader; it also bounds the first allocation for the payload.
+const readChunkSamples = 1 << 14
+
 // Read parses one field from r. Dimension validation is grid's (1–4 strictly
-// positive dims, bounded product), so a malicious header cannot demand an
-// unbounded allocation beyond what its dims legitimately describe; callers
-// reading from untrusted sources should additionally cap the reader itself
-// (the serve layer uses http.MaxBytesReader).
+// positive dims, bounded product). The sample buffer grows only with samples
+// actually received, so a header that claims more samples than the stream
+// holds fails after allocating at most about twice what arrived; callers
+// reading from untrusted sources should still cap the reader itself (the
+// serve layer uses http.MaxBytesReader).
 func Read(r io.Reader) (*grid.Field, error) {
 	br := bufio.NewReader(r)
 	header, err := readHeaderLine(br)
@@ -76,25 +81,50 @@ func Read(r io.Reader) (*grid.Field, error) {
 	}
 	name := parts[1]
 	dims := make([]int, 0, len(parts)-2)
+	n := 1
 	for _, p := range parts[2:] {
 		d, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("fieldio: bad dim %q", p)
 		}
+		if d <= 0 {
+			return nil, fmt.Errorf("fieldio: %w", grid.ErrDims)
+		}
+		if n > math.MaxInt/d {
+			return nil, fmt.Errorf("fieldio: dims %v overflow the sample count", parts[2:])
+		}
+		n *= d
 		dims = append(dims, d)
 	}
-	f, err := grid.New(name, dims...)
+	data, err := readSamples(br, n)
+	if err != nil {
+		return nil, fmt.Errorf("fieldio: reading %d samples: %w", n, err)
+	}
+	f, err := grid.FromData(name, data, dims...)
 	if err != nil {
 		return nil, fmt.Errorf("fieldio: %w", err)
 	}
-	raw := make([]byte, 4*f.Size())
-	if _, err := io.ReadFull(br, raw); err != nil {
-		return nil, fmt.Errorf("fieldio: reading %d samples: %w", f.Size(), err)
-	}
-	for i := range f.Data {
-		f.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
 	return f, nil
+}
+
+// readSamples reads n little-endian float32 samples, doubling the sample
+// buffer (up to n) only as earlier samples arrive.
+func readSamples(r io.Reader, n int) ([]float32, error) {
+	data := make([]float32, 0, min(n, readChunkSamples))
+	buf := make([]byte, 4*cap(data))
+	for len(data) < n {
+		k := min(n-len(data), readChunkSamples)
+		if _, err := io.ReadFull(r, buf[:4*k]); err != nil {
+			return nil, err
+		}
+		if len(data)+k > cap(data) {
+			data = append(make([]float32, 0, min(n, 2*cap(data))), data...)
+		}
+		for i := 0; i < k; i++ {
+			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
+		}
+	}
+	return data, nil
 }
 
 // readHeaderLine reads up to maxHeaderLen bytes of the ASCII header line.

@@ -19,6 +19,7 @@ var chunkedShapes = [][]int{
 	{3 * 65536},      // 1D: 65536-point slabs
 	{2048, 64},       // 2D: 1024-row slabs
 	{48, 64, 64},     // 3D: 16-row slabs
+	{37, 64, 64},     // 3D: ragged slabs of 16, 16 and 5 rows
 	{20, 24, 24, 12}, // 4D: generic-kernel slabs
 }
 

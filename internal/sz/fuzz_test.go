@@ -21,6 +21,19 @@ func FuzzDecompress(f *testing.F) {
 	if blob, err := c.Compress(fld, knob); err == nil {
 		f.Add(blob)
 	}
+	// A multi-slab seed (3·65536+5 points: three full 1D slabs and a
+	// five-point tail) puts mutations on the chunked container and the
+	// slab-parallel decoder; the sparse huge values escape in every slab.
+	long := grid.MustNew("slabs", 3*65536+5)
+	for i := range long.Data {
+		long.Data[i] = float32(math.Sin(float64(i) / 300))
+		if i%4099 == 0 {
+			long.Data[i] = 1e30
+		}
+	}
+	if blob, err := c.Compress(long, knob); err == nil {
+		f.Add(blob)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0x5A, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -43,7 +56,7 @@ func FuzzDecompress(f *testing.F) {
 				}
 			}
 		}
-		// The wavefront decoder must agree with the serial one on the same
+		// The slab-parallel decoder must agree with the serial one on the same
 		// arbitrary input — identical verdict and identical bits — and a
 		// round trip through both compressors must emit identical blobs.
 		for _, w := range []int{2, 3} {

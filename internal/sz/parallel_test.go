@@ -2,12 +2,15 @@ package sz
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
+	"github.com/fxrz-go/fxrz/internal/compress"
 	"github.com/fxrz-go/fxrz/internal/grid"
 )
 
@@ -20,18 +23,18 @@ func parWidths() []int {
 	return ws
 }
 
-// parShapes cross the wavefront cutoffs: 2D needs nx >= 2*szParMinTileW for
-// a real tiling, 3D just needs szParMinPoints points; the small and 1D/4D
-// shapes prove the gates decline cleanly (serial fallback, identical blobs).
+// parShapes are single-slab fields of every rank, with odd and ragged
+// extents: the worker budget reaches only their entropy stage, and blobs
+// must not depend on it. Multi-slab shapes live in chunkedShapes.
 var parShapes = [][]int{
-	{1 << 14},      // 1D: always serial
-	{8, 8},         // tiny 2D: below the point cutoff
-	{40, 512},      // 2D: 2+ tiles at any width
-	{97, 300},      // 2D: odd extents, ragged last tile
-	{64, 130},      // 2D: above point cutoff, ntx<2 → serial fallback
-	{16, 32, 32},   // 3D: wavefront with nz+ny-1 fronts
+	{1 << 14},      // 1D
+	{8, 8},         // tiny 2D
+	{40, 512},      // 2D
+	{97, 300},      // 2D: odd extents
+	{64, 130},      // 2D
+	{16, 32, 32},   // 3D
 	{5, 70, 33},    // 3D: ragged, ny >> nz
-	{4, 4, 32, 32}, // 4D: always serial (generic path)
+	{4, 4, 32, 32}, // 4D: generic path
 }
 
 // parField fills a field with the given character. Characters mirror the
@@ -119,67 +122,38 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// The wavefront kernels themselves must reproduce the serial quantizer's
-// codes, reconstruction and raw-escape order exactly.
-func TestWavefrontKernelsMatchSerial(t *testing.T) {
-	for _, shape := range parShapes {
-		if len(shape) != 2 && len(shape) != 3 {
-			continue
-		}
-		for _, kind := range parKinds {
-			f := parField(shape, kind)
-			n := f.Size()
-			eb := 1e-3
-
-			sCodes := make([]uint16, n)
-			sRecon := make([]float32, n)
-			sRaw := quantizeField(f, eb, sCodes, sRecon, make([]float32, 0, n), false)
-
-			for _, w := range parWidths() {
-				pCodes := make([]uint16, n)
-				pRecon := make([]float32, n)
-				pRaw, handled := quantizeFieldParallel(f, eb, pCodes, pRecon, make([]float32, 0, n), w)
-				if !handled {
-					continue // gated to serial; codec-level test already covers it
-				}
-				for i := range sCodes {
-					if pCodes[i] != sCodes[i] {
-						t.Fatalf("%v/%s w=%d: code[%d] = %d, want %d", shape, kind, w, i, pCodes[i], sCodes[i])
-					}
-				}
-				if !bitsEqual(pRecon, sRecon) {
-					t.Fatalf("%v/%s w=%d: recon differs", shape, kind, w)
-				}
-				if !bitsEqual(pRaw, sRaw) {
-					t.Fatalf("%v/%s w=%d: raw escape order differs (%d vs %d escapes)", shape, kind, w, len(pRaw), len(sRaw))
-				}
-			}
-		}
-	}
-}
-
-// A truncated raw pool must fail identically on both paths: same error, at
-// any worker count.
+// A raw pool holding fewer values than the stream escapes must fail
+// identically at any worker count: the slab decoder's prescan rejects it
+// before any slab runs.
 func TestSZParallelRawExhaustedIdentity(t *testing.T) {
-	f := parField([]int{16, 32, 32}, "escape")
+	f := parField([]int{48, 64, 64}, "escape")
 	blob, err := compressSZ(f, 1e-3, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reserialize with the raw count inflated beyond the payload: reuse the
-	// serial corruption helper path by chopping raw floats off the tail.
-	cut := blob[:len(blob)-8]
-	if _, serr := decompressSZ(cut, false, 1); serr == nil {
-		t.Skip("truncated blob unexpectedly decodes; corruption covered elsewhere")
-	} else {
-		for _, w := range parWidths() {
-			_, perr := decompressSZ(cut, false, w)
-			if perr == nil {
-				t.Fatalf("w=%d: truncated blob decoded", w)
-			}
-			if perr.Error() != serr.Error() {
-				t.Fatalf("w=%d: error %q differs from serial %q", w, perr, serr)
-			}
+	h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rawPayload, nraw, err := splitSZSections(h.Dims, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if SlabRows(blob) == 0 || nraw == 0 {
+		t.Fatalf("want a chunked blob with escapes (slab rows %d, %d escapes)", SlabRows(blob), nraw)
+	}
+	// Re-serialize the raw section without its last value.
+	cut := bytes.Clone(blob[:len(blob)-len(rawPayload)-len(binary.AppendUvarint(nil, nraw))])
+	cut = binary.AppendUvarint(cut, nraw-1)
+	cut = append(cut, rawPayload[:4*(nraw-1)]...)
+	_, serr := decompressSZ(cut, false, 1)
+	if !errors.Is(serr, compress.ErrCorrupt) {
+		t.Fatalf("short raw pool: got %v, want a corruption error", serr)
+	}
+	for _, w := range parWidths() {
+		_, perr := decompressSZ(cut, false, w)
+		if perr == nil || perr.Error() != serr.Error() {
+			t.Fatalf("w=%d: error %v differs from serial %q", w, perr, serr)
 		}
 	}
 }

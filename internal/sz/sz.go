@@ -33,9 +33,10 @@ const (
 // Compressor is the SZ-like codec. The zero value is ready to use.
 type Compressor struct {
 	// Workers bounds the intra-field fan-out (pool.Workers semantics: 0 uses
-	// all cores, 1 forces a serial run). The 2D/3D Lorenzo sweeps run as
-	// anti-diagonal wavefronts and the Huffman frequency count is sharded;
-	// blobs and reconstructions are bit-identical at every setting.
+	// all cores, 1 forces a serial run). The slabs of a chunked field
+	// quantize and reconstruct in parallel and the entropy stage fans out
+	// over its chunks; a single-slab field runs the serial Lorenzo kernels.
+	// Blobs and reconstructions are bit-identical at every setting.
 	Workers int
 }
 
@@ -67,7 +68,7 @@ const szSlabMinRows = 8
 // slabs of rowsPerSlab leading-dimension rows, each 2·planeSize·rowsPerSlab
 // code bytes — one entropy chunk per slab, sized near the container's target.
 // A field that does not fill two slabs stays in the legacy whole-stream
-// format (same size cutoff idiom as the wavefront kernels).
+// format. The slab is the codec's only intra-field parallel unit.
 func szChunkLayout(dims []int) (rowsPerSlab, nSlabs int) {
 	nz := dims[0]
 	if nz <= 0 {
@@ -108,12 +109,13 @@ func szSlabRowsFromPacked(packed []byte, dims []int) (int, error) {
 //
 // Fields spanning two or more slabs (szChunkLayout) quantize slab by slab
 // with the Lorenzo predictor reset at every slab boundary — each slab is an
-// independent sub-field — and the code stream is packed into the chunked
-// entropy container with one chunk per slab. That makes every slab decodable
-// from its own chunk alone: the full decoder fans slabs across workers and
-// the region decoder touches only the chunks covering the request. Smaller
-// fields keep the legacy whole-field predictor and whole-stream container
-// byte-identically.
+// independent sub-field, so the slabs fan out across workers — and the code
+// stream is packed into the chunked entropy container with one chunk per
+// slab. That makes every slab decodable from its own chunk alone: the full
+// decoder fans slabs across workers and the region decoder touches only the
+// chunks covering the request. Smaller fields keep the legacy whole-field
+// predictor and whole-stream container byte-identically, on the serial
+// kernels.
 func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]byte, error) {
 	if !(eb > 0) || math.IsInf(eb, 0) {
 		return nil, fmt.Errorf("sz: error bound must be a positive finite number, got %v", eb)
@@ -130,41 +132,13 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 	// the kernels never reallocate.
 	rawBuf := getF32s(n)[:0]
 	defer putF32s(rawBuf[:cap(rawBuf)])
-	raw := rawBuf
+	var raw []float32
 	rowsPerSlab, nSlabs := szChunkLayout(f.Dims)
 	if nSlabs >= 2 {
 		obs.Inc("sz/chunked_encode")
-		nz := f.Dims[0]
-		ps := n / nz
-		subDims := append([]int(nil), f.Dims...)
-		for z0 := 0; z0 < nz; z0 += rowsPerSlab {
-			z1 := z0 + rowsPerSlab
-			if z1 > nz {
-				z1 = nz
-			}
-			subDims[0] = z1 - z0
-			sub, err := grid.FromData(f.Name, f.Data[z0*ps:z1*ps], subDims...)
-			if err != nil {
-				return nil, fmt.Errorf("sz: %w", err)
-			}
-			// Slabs run serially here (the escape pool appends in global
-			// row-major order); the wavefront inside each slab still fans out.
-			handled := false
-			if !forceGeneric {
-				raw, handled = quantizeFieldParallel(sub, eb, codes[z0*ps:z1*ps], recon[z0*ps:z1*ps], raw, workers)
-			}
-			if !handled {
-				raw = quantizeField(sub, eb, codes[z0*ps:z1*ps], recon[z0*ps:z1*ps], raw, forceGeneric)
-			}
-		}
+		raw = quantizeSlabs(f, eb, codes, recon, rawBuf, rowsPerSlab, nSlabs, workers, forceGeneric)
 	} else {
-		handled := false
-		if !forceGeneric {
-			raw, handled = quantizeFieldParallel(f, eb, codes, recon, rawBuf, workers)
-		}
-		if !handled {
-			raw = quantizeField(f, eb, codes, recon, rawBuf, forceGeneric)
-		}
+		raw = quantizeField(f, eb, codes, recon, rawBuf, forceGeneric)
 	}
 
 	codeBytes := getScratchBytes(2 * n)
@@ -196,6 +170,40 @@ func compressSZ(f *grid.Field, eb float64, forceGeneric bool, workers int) ([]by
 	return out, nil
 }
 
+// slabOf returns slab s (rows [z0, z1) of the leading dimension, T rows per
+// slab) of f as a sub-field sharing f's samples.
+func slabOf(f *grid.Field, s, T int) (sub *grid.Field, z0, z1 int) {
+	nz := f.Dims[0]
+	ps := len(f.Data) / nz
+	z0 = s * T
+	z1 = min(z0+T, nz)
+	dims := append([]int(nil), f.Dims...)
+	dims[0] = z1 - z0
+	return &grid.Field{Name: f.Name, Dims: dims, Data: f.Data[z0*ps : z1*ps]}, z0, z1
+}
+
+// quantizeSlabs quantizes a chunked field's slabs in parallel, each with the
+// serial kernel on its own slices of codes and recon. Slab s appends its
+// escapes into its own region of the escape scratch, rawBuf[z0*ps:z0*ps:z1*ps],
+// which has room for every point of the slab. The runs are then copied
+// forward into one pool in slab order — a run's destination never passes its
+// source — which is exactly the row-major pool a serial walk appends.
+func quantizeSlabs(f *grid.Field, eb float64, codes []uint16, recon, rawBuf []float32, T, nSlabs, workers int, forceGeneric bool) []float32 {
+	ps := len(f.Data) / f.Dims[0]
+	runs := make([]int, nSlabs)
+	pool.Run(workers, nSlabs, func(s int) {
+		sub, z0, z1 := slabOf(f, s, T)
+		run := quantizeField(sub, eb, codes[z0*ps:z1*ps], recon[z0*ps:z1*ps], rawBuf[z0*ps:z0*ps:z1*ps], forceGeneric)
+		runs[s] = len(run)
+	})
+	raw := rawBuf[:0]
+	for s, k := range runs {
+		start := s * T * ps
+		raw = append(raw, rawBuf[start:start+k]...)
+	}
+	return raw
+}
+
 // Decompress implements compress.Compressor.
 func (c *Compressor) Decompress(blob []byte) (*grid.Field, error) {
 	return decompressSZ(blob, false, pool.Workers(c.Workers))
@@ -223,33 +231,13 @@ func splitSZSections(dims []int, payload []byte) (packed, rawPayload []byte, nra
 	return packed, payload[k:], nraw, nil
 }
 
-// parseSZSections is splitSZSections plus the entropy decode of the code
-// section (fanning a chunked container's chunks over `workers`). Shared by
-// the full decoder, the region decoder, and the region index builder so the
-// three agree on the container layout.
-func parseSZSections(dims []int, payload []byte, workers int) (codeBytes, rawPayload []byte, nraw uint64, err error) {
-	packed, rawPayload, nraw, err := splitSZSections(dims, payload)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	codeBytes, err = entropy.DecompressBytesParallel(packed, workers)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("sz: decode codes: %w", err)
-	}
-	if len(codeBytes) != 2*elemCount(dims) {
-		return nil, nil, 0, fmt.Errorf("sz: %w: %d code bytes for %d points", compress.ErrCorrupt, len(codeBytes), elemCount(dims))
-	}
-	return codeBytes, rawPayload, nraw, nil
-}
-
 // decompressSZ is the Decompress implementation; forceGeneric pins the
 // reconstruction pass to the N-d odometer oracle (see compressSZ).
 //
-// A chunked blob (szSlabRowsFromPacked) reconstructs slab by slab: the
-// entropy chunks already fanned out inside parseSZSections, and the slabs —
-// independent sub-fields thanks to the encoder's predictor resets — fan out
-// here under the same worker budget, outer workers across slabs and inner
-// workers on each slab's wavefront via pool.Split.
+// The entropy chunks of a chunked blob (szSlabRowsFromPacked) fan out over
+// the workers first; its slabs — independent sub-fields thanks to the
+// encoder's predictor resets — then reconstruct in parallel under the same
+// budget. A whole-stream blob reconstructs on the serial kernels.
 func decompressSZ(blob []byte, forceGeneric bool, workers int) (*grid.Field, error) {
 	defer obs.Span("decompress/sz")()
 	h, payload, err := compress.ParseHeader(blob, compress.MagicSZ)
@@ -276,85 +264,54 @@ func decompressSZ(blob []byte, forceGeneric bool, workers int) (*grid.Field, err
 		return nil, fmt.Errorf("sz: %w", err)
 	}
 	if T > 0 {
-		if err := reconstructSlabs(f, h.Knob, codeBytes, rawPayload, nraw, T, workers, forceGeneric); err != nil {
-			return nil, err
-		}
-		return f, nil
+		err = reconstructSlabs(f, h.Knob, codeBytes, rawPayload, nraw, T, workers, forceGeneric)
+	} else {
+		err = reconstructField(f, h.Knob, codeBytes, rawPayload, nraw, forceGeneric)
 	}
-	handled := false
-	if !forceGeneric {
-		var perr error
-		handled, perr = reconstructFieldParallel(f, h.Knob, codeBytes, rawPayload, nraw, workers)
-		if perr != nil {
-			return nil, perr
-		}
-	}
-	if !handled {
-		if err := reconstructField(f, h.Knob, codeBytes, rawPayload, nraw, forceGeneric); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-// reconstructSlabs rebuilds a chunked blob's field slab by slab. Each slab's
-// escape-pool cursor comes from a prescan of the already-decoded code stream
-// (escapes appear in global row-major order), so slabs reconstruct in any
-// order and therefore in parallel.
-func reconstructSlabs(f *grid.Field, eb float64, codeBytes, rawPayload []byte, nraw uint64, T, workers int, forceGeneric bool) error {
-	nz := f.Dims[0]
-	ps := len(f.Data) / nz
-	nSlabs := (nz + T - 1) / T
-	starts, total := prescanEscapes(codeBytes, nSlabs, func(s int) (start, count, stride int) {
-		z0 := s * T
-		z1 := z0 + T
-		if z1 > nz {
-			z1 = nz
+// prescanEscapes returns the escape-pool cursor at which each slab of
+// slabLen codes starts, plus the total escape count. Escapes appear in
+// global row-major order and depend only on the codes, so one serial pass
+// over the decoded code stream places every slab.
+func prescanEscapes(codeBytes []byte, slabLen, nSlabs int) (starts []int, total int) {
+	defer obs.Span("sz/raw_prescan")()
+	starts = make([]int, nSlabs)
+	for s := range starts {
+		starts[s] = total
+		end := min((s+1)*slabLen, len(codeBytes)/2)
+		for idx := s * slabLen; idx < end; idx++ {
+			if codeBytes[2*idx] == 0 && codeBytes[2*idx+1] == 0 {
+				total++
+			}
 		}
-		return z0 * ps, (z1 - z0) * ps, 1
-	})
+	}
+	return starts, total
+}
+
+// reconstructSlabs rebuilds a chunked blob's field slab by slab, fanning the
+// slabs over workers. Each slab's escape-pool cursor comes from
+// prescanEscapes, which also rejects a pool too short for the stream before
+// any slab runs, so the error is the same at every worker count.
+func reconstructSlabs(f *grid.Field, eb float64, codeBytes, rawPayload []byte, nraw uint64, T, workers int, forceGeneric bool) error {
+	ps := len(f.Data) / f.Dims[0]
+	nSlabs := (f.Dims[0] + T - 1) / T
+	starts, total := prescanEscapes(codeBytes, T*ps, nSlabs)
 	if uint64(total) > nraw {
 		return errRawExhausted()
 	}
-	outer, inner := pool.Split(workers, nSlabs)
-	errs := make([]error, nSlabs)
-	pool.Run(outer, nSlabs, func(s int) {
-		z0 := s * T
-		z1 := z0 + T
-		if z1 > nz {
-			z1 = nz
-		}
-		subDims := append([]int(nil), f.Dims...)
-		subDims[0] = z1 - z0
-		sub, err := grid.FromData(f.Name, f.Data[z0*ps:z1*ps], subDims...)
-		if err != nil {
-			errs[s] = fmt.Errorf("sz: %w", err)
-			return
-		}
-		next := int(nraw)
+	return pool.RunErr(workers, nSlabs, func(s int) error {
+		sub, z0, z1 := slabOf(f, s, T)
+		next := total
 		if s+1 < nSlabs {
 			next = starts[s+1]
 		}
-		subRaw := rawPayload[4*starts[s]:]
-		subNraw := uint64(next - starts[s])
-		subCodes := codeBytes[2*z0*ps : 2*z1*ps]
-		handled := false
-		if !forceGeneric {
-			handled, errs[s] = reconstructFieldParallel(sub, eb, subCodes, subRaw, subNraw, inner)
-			if errs[s] != nil {
-				return
-			}
-		}
-		if !handled {
-			errs[s] = reconstructField(sub, eb, subCodes, subRaw, subNraw, forceGeneric)
-		}
+		return reconstructField(sub, eb, codeBytes[2*z0*ps:2*z1*ps], rawPayload[4*starts[s]:], uint64(next-starts[s]), forceGeneric)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // lorenzo evaluates the N-dimensional Lorenzo predictor at successive
